@@ -29,6 +29,7 @@ from repro.core.structures import CommitteeSpec, RecoveryEvent, RoundContext
 from repro.core.tags import Tags
 from repro.core.voting import VoteRound, input_side_votes, run_vote_rounds
 from repro.ledger.transaction import Transaction
+from repro.net.message import payload_size
 
 
 @dataclass
@@ -221,17 +222,16 @@ def _send_to_referee(ctx: RoundContext, report: IntraReport) -> None:
             continue
         leader_node = ctx.node(committee.leader)
         alg3_payload = (round_result.reported_txids, round_result.vlist_tuple)
+        # One packet and one size for the whole referee fan-out.
+        packet = (
+            committee.index,
+            round_result.reported_txs,
+            alg3_payload,
+            tuple(round_result.cert),
+        )
+        size = payload_size(packet)
         for rid in ctx.referee:
-            leader_node.send(
-                rid,
-                Tags.INTRA,
-                (
-                    committee.index,
-                    round_result.reported_txs,
-                    alg3_payload,
-                    tuple(round_result.cert),
-                ),
-            )
+            leader_node.send(rid, Tags.INTRA, packet, size=size)
     ctx.net.run()
     lead = ctx.referee[0]
     for k, (txs, payload, cert) in received.get(lead, {}).items():

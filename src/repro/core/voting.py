@@ -81,11 +81,9 @@ class VoteRound:
     no_proposal_sigs: dict[int, list[Signature]] = field(default_factory=dict)
     replies: int = 0
     equivocation: object | None = None  # EquivocationWitness from Alg. 3
-
-    @property
-    def vlist_tuple(self) -> tuple:
-        assert self.matrix is not None
-        return tuple(tuple(int(v) for v in row) for row in self.matrix)
+    #: ``matrix`` as nested int tuples (the signed, digested and sent VList),
+    #: built once when the matrix is set
+    vlist_tuple: tuple = ()
 
 
 class VoteRoundSession:
@@ -189,20 +187,16 @@ class VoteRoundSession:
                 return
             self._proposal_seen.add(mid)
             node = self.ctx.node(mid)
-            votes = self.vote_fn(self.ctx, mid, txs)
+            votes = tuple(int(v) for v in self.vote_fn(self.ctx, mid, txs))
             vote_statement = (
                 "VOTE",
                 self.ctx.round_number,
                 self.committee.index,
                 self.session,
-                tuple(int(v) for v in votes),
+                votes,
             )
             vote_sig = sign(node.keypair, vote_statement)
-            node.send(
-                self.committee.leader,
-                self._tag("VOTE"),
-                (mid, tuple(int(v) for v in votes), vote_sig),
-            )
+            node.send(self.committee.leader, self._tag("VOTE"), (mid, votes, vote_sig))
 
         return handler
 
@@ -248,6 +242,7 @@ class VoteRoundSession:
         leader_node = ctx.node(committee.leader)
         reported = leader_node.behavior.assemble_txdec(leader_node, majority, matrix)
         self.result.matrix = matrix
+        self.result.vlist_tuple = tuple(map(tuple, matrix.tolist()))
         self.result.decision = decision
         self.result.majority_txs = majority
         self.result.reported_txs = list(reported)
@@ -280,8 +275,9 @@ class VoteRoundSession:
             self.result.vlist_tuple,
             self.result.sig_votes,
         )
+        artifact_size = payload_size(artifact)
         for pid in committee.partial:
-            leader_node.send(pid, self._tag("ARTIFACT"), artifact)
+            leader_node.send(pid, self._tag("ARTIFACT"), artifact, size=artifact_size)
 
     # -- silence handling ---------------------------------------------------
     def _silence_deadline(self) -> None:

@@ -33,15 +33,41 @@ def _enc_bool(obj: bool) -> bytes:
     return b"o1:1" if obj else b"o1:0"
 
 
-def _enc_int(obj: int) -> bytes:
+def _enc_int_text(obj: int) -> bytes:
     return _frame(b"i", str(obj).encode("ascii"))
+
+
+#: Pre-framed encodings of the small ints that dominate hashed structures
+#: (vote values, indices, round and sequence numbers).  Keys are exact
+#: ``int``s: callers holding an int subclass use :func:`_enc_int_text`.
+_SMALL_INT_ENC = {v: _enc_int_text(v) for v in range(-256, 257)}
+
+
+def _enc_int(obj: int) -> bytes:
+    """Exact ``int``s only: an int subclass may render differently."""
+    enc = _SMALL_INT_ENC.get(obj)
+    return enc if enc is not None else _enc_int_text(obj)
 
 
 def _enc_float(obj: float) -> bytes:
     return _frame(b"f", repr(obj).encode("ascii"))
 
 
+#: Shortest sequence worth the exact-type scan of the int-run fast path.
+_INT_RUN_MIN = 8
+
+_JUST_INT = {int}
+
+
 def _enc_seq(obj: "tuple | list") -> bytes:
+    # Int runs (vote vectors, VList rows): when every element is exactly
+    # ``int`` the per-element dispatch is skipped; the bytes are the same.
+    if len(obj) >= _INT_RUN_MIN and set(map(type, obj)) == _JUST_INT:
+        try:
+            body = _SEP.join(map(_SMALL_INT_ENC.__getitem__, obj))
+        except KeyError:
+            body = _SEP.join([_enc_int(x) for x in obj])
+        return _frame(b"t", body)
     return _frame(b"t", _SEP.join([canonical_bytes(x) for x in obj]))
 
 
@@ -85,7 +111,7 @@ def _canonical_slow(obj: Any) -> bytes:
     if isinstance(obj, bool):  # must precede int check
         return _enc_bool(obj)
     if isinstance(obj, int):
-        return _enc_int(obj)
+        return _enc_int_text(obj)
     if obj is None:
         return b"n0:"
     if isinstance(obj, float):

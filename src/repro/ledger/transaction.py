@@ -54,6 +54,14 @@ class Transaction:
             self.nonce,
         )
 
+    @cached_property
+    def wire_size(self) -> int:
+        """``payload_size(self)``, computed once: a transaction is sized
+        every time a TXList, package or block carrying it is sent."""
+        from repro.net.message import size_fields  # that module imports this one
+
+        return size_fields(self)
+
     @property
     def is_coinbase(self) -> bool:
         return len(self.inputs) == 0

@@ -26,6 +26,7 @@ sustained-load model the round-overlap engine measures latency against.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -293,24 +294,18 @@ class WorkloadGenerator:
         return batch
 
     def _rollback_one(self, txid: bytes) -> bool:
-        """Undo one pending transaction's generator-side effects.
+        """Undo one queued transaction's generator-side effects (deferred
+        mode: mempool eviction).
 
-        Its created outputs are withdrawn from the spendable pool and the
-        consumed input is returned; returns False if ``txid`` has no
-        pending effects (injected-invalid transactions never do).
+        Deferred mode never published its created outputs, so there is
+        nothing to withdraw; the consumed input is returned to the
+        spendable pool.  Returns False if ``txid`` has no pending effects
+        (injected-invalid transactions never do).
         """
         effects = self._effects.pop(txid, None)
         if effects is None:
             return False
-        home, consumed, created = effects
-        if not self.defer_created:
-            # Deferred mode never published these outputs, so there is
-            # nothing to withdraw (and no chained descendant can exist).
-            for shard, entry in created:
-                try:
-                    self._spendable[shard].remove(entry)
-                except ValueError:
-                    pass  # already consumed — cannot happen before next batch
+        home, consumed, _created = effects
         self._spendable[home].append(consumed)
         try:
             self._spent.remove(consumed)
@@ -355,15 +350,33 @@ class WorkloadGenerator:
         the block (committee budget, leader failure, void round) never
         happened on-chain: every pending effect outside ``packed_txids``
         is rolled back.  Returns the number of transactions rolled back.
+
+        The rollback is one pass over each touched list, not one
+        ``list.remove`` scan per transaction: the result is the same list,
+        element for element and in order, that rolling back each unpacked
+        transaction in generation order produces.  Each removal takes the
+        first equal entry, and the consumed inputs are appended after the
+        survivors (a created entry is this batch's new outpoint, so it
+        never equals a returned input).
         """
-        rolled_back = 0
-        for txid in list(self._effects):
+        withdrawn: dict[int, Counter] = {}
+        returned: list[tuple[int, tuple]] = []
+        for txid, (home, consumed, created) in self._effects.items():
             if txid in packed_txids:
                 continue
-            if self._rollback_one(txid):
-                rolled_back += 1
+            for shard, entry in created:
+                withdrawn.setdefault(shard, Counter())[entry] += 1
+            returned.append((home, consumed))
         self._effects = {}
-        return rolled_back
+        for shard, entries in withdrawn.items():
+            self._spendable[shard] = _without_first(self._spendable[shard], entries)
+        for home, consumed in returned:
+            self._spendable[home].append(consumed)
+        if returned:
+            self._spent = _without_first(
+                self._spent, Counter(consumed for _home, consumed in returned)
+            )
+        return len(returned)
 
     def by_home_shard(self, batch: Sequence[TaggedTx]) -> list[list[TaggedTx]]:
         """Route a batch to committees by input ownership (Fig. 2 step 2)."""
@@ -371,6 +384,19 @@ class WorkloadGenerator:
         for tagged in batch:
             routed[tagged.home_shard].append(tagged)
         return routed
+
+
+def _without_first(items: list, counts: Counter) -> list:
+    """``items`` minus the first ``counts[x]`` occurrences of each ``x``:
+    what ``counts[x]`` successive ``items.remove(x)`` calls leave (a value
+    absent from ``items`` is skipped, as a caught ``ValueError`` would)."""
+    kept = []
+    for item in items:
+        if counts.get(item):
+            counts[item] -= 1
+        else:
+            kept.append(item)
+    return kept
 
 
 # -- the persistent mempool ---------------------------------------------------

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable
+
+from repro.ledger.transaction import Transaction
 
 _SIG_SIZE = 64  # public key reference + MAC tag, like an Ed25519 signature
 _HASH_SIZE = 32
@@ -28,12 +31,32 @@ def _np_scalar_types() -> tuple[type, ...]:
     return _NP_SCALAR_TYPES
 
 
+#: Shortest container worth the exact-type scan of the int-run fast path.
+_INT_RUN_MIN = 8
+
+_JUST_INT = {int}
+
+
 def _size_container(obj: Any) -> int:
-    return 2 + sum(payload_size(x) for x in obj)
+    # Int runs (vote vectors, VList rows): every element exactly ``int``
+    # sizes to _INT_SIZE without a per-element dispatch.
+    if len(obj) >= _INT_RUN_MIN and set(map(type, obj)) == _JUST_INT:
+        return 2 + _INT_SIZE * len(obj)
+    return 2 + sum(map(payload_size, obj))
 
 
 def _size_dict(obj: dict) -> int:
     return 2 + sum(payload_size(k) + payload_size(v) for k, v in obj.items())
+
+
+def size_fields(obj: Any) -> int:
+    """The wire size of a dataclass instance: framing plus its fields."""
+    cls = type(obj)
+    names = _FIELDS_BY_TYPE.get(cls)
+    if names is None:
+        names = tuple(f.name for f in dataclasses.fields(obj))
+        _FIELDS_BY_TYPE[cls] = names
+    return 2 + sum(payload_size(getattr(obj, name)) for name in names)
 
 
 def _size_slow(obj: Any) -> int:
@@ -57,11 +80,7 @@ def _size_slow(obj: Any) -> int:
     if type_name == "VRFOutput":
         return _SIG_SIZE + _HASH_SIZE
     if dataclasses.is_dataclass(obj):
-        names = _FIELDS_BY_TYPE.get(cls)
-        if names is None:
-            names = tuple(f.name for f in dataclasses.fields(obj))
-            _FIELDS_BY_TYPE[cls] = names
-        return 2 + sum(payload_size(getattr(obj, name)) for name in names)
+        return size_fields(obj)
     if isinstance(obj, _np_scalar_types()):
         return _INT_SIZE
     raise TypeError(f"payload_size cannot size {type_name}")
@@ -71,7 +90,10 @@ def _size_slow(obj: Any) -> int:
 #: ``bool``/``int`` must be distinct entries (bool is an int subclass, but
 #: ``type(obj)`` lookups never confuse them), and subclasses fall through
 #: to :func:`_size_slow`, preserving the old isinstance semantics.
+#: Transactions are immutable and sized many times per round, so they carry
+#: their :func:`size_fields` value as the cached ``wire_size``.
 _SIZERS: dict[type, Callable[[Any], int]] = {
+    Transaction: attrgetter("wire_size"),
     bool: lambda obj: 1,
     int: lambda obj: _INT_SIZE,
     float: lambda obj: _INT_SIZE,
